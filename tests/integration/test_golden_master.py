@@ -72,6 +72,7 @@ from repro.types import QuerySpec, ServiceClass
 from repro.workloads import (
     PoissonArrivals,
     Workload,
+    generate_queries,
     get_workload,
     inverse_proportional_fanout,
     single_class_mix,
@@ -357,6 +358,35 @@ CALENDAR_SCENARIOS["faults_pause_tailguard"] = (
     lambda: _base_config("tailguard", n_classes=2).with_faults(_PAUSE_PLAN))
 CALENDAR_SCENARIOS["faults_pause_fifo"] = (
     lambda: _base_config("fifo", n_classes=2).with_faults(_PAUSE_PLAN))
+# Crash-only pause under T-EDFQ, whose queue key (arrival + SLO) is not
+# the stamped deadline.
+CALENDAR_SCENARIOS["faults_crash_t-edf"] = (
+    lambda: _base_config("t-edf", n_classes=2).with_faults(FaultPlan(
+        crashes=CrashProcess(mtbf_ms=40.0, mttr_ms=3.0, seed=11))))
+
+# Plain (non-overload) admission control under the policies other than
+# TF-EDFQ, which ``admission_tailguard`` pins.
+for _policy in ("fifo", "t-edf"):
+    CALENDAR_SCENARIOS[f"admission_{_policy}"] = (
+        lambda p=_policy: _base_config(p, n_classes=2).with_admission(
+            DeadlineMissRatioAdmission(threshold=0.2, window_tasks=200,
+                                       min_samples=50)))
+
+
+def _unplaced_specs_config() -> ClusterConfig:
+    """A caller-supplied ``specs=`` stream with no pre-placed servers —
+    the shape a federation shard hands the cluster."""
+    base = _base_config("tailguard", n_classes=2)
+    specs = generate_queries(base.workload, base.n_queries,
+                             np.random.default_rng(17))
+    return ClusterConfig(n_servers=16, policy="tailguard", specs=specs,
+                         seed=42, server_cdfs=base.resolve_server_cdfs(),
+                         ).with_faults(FaultPlan(
+        crashes=CrashProcess(mtbf_ms=40.0, mttr_ms=3.0, seed=13),
+        retry=RetryPolicy(max_retries=2, backoff_ms=0.531)))
+
+
+CALENDAR_SCENARIOS["specs_crash_retry_tailguard"] = _unplaced_specs_config
 
 
 # ----------------------------------------------------------------------
