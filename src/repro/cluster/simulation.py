@@ -14,13 +14,22 @@ Model recap (paper Fig. 2):
 * each server serves one task at a time from a policy-ordered queue;
 * deadline misses are observed at dequeue time (central queuing);
 * a query completes when its slowest task does.
+
+Two loops run it.  :func:`_static_loop` takes the common benchmarking
+shape — every config :func:`_specializable` accepts — with each
+per-event guard but admission compiled out; the generic loop below
+:func:`simulate`'s preamble takes the rest (tracing, placement hooks,
+pre-placed specs, PRIQ/WRR/custom policies, heterogeneous or online
+CDFs, perturbations, timeline sampling).  Faulted, overload and replica
+runs go to :mod:`repro.cluster.faultsim`.  All loops share
+:func:`_finalize`.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -119,6 +128,25 @@ def _prepare_query_arrays(config: ClusterConfig,
     return classes, class_index, fanouts.astype(np.int32), times
 
 
+def _prepare(config: ClusterConfig, spec_rng: np.random.Generator):
+    """The run's per-query arrays, plus its specs where a loop needs them.
+
+    Returns ``(specs, servers_list, classes, class_index, fanout,
+    arrival)``.  A generated workload with no placement hook takes the
+    array twin and gets ``None`` for ``specs`` and ``servers_list`` (no
+    query is pre-placed); otherwise ``servers_list`` holds each spec's
+    pre-placed servers, or ``None`` where the simulator places it.
+    """
+    if config.specs is None and config.placement is None:
+        classes, class_index, fanout, arrival = _prepare_query_arrays(
+            config, spec_rng)
+        return None, None, classes, class_index, fanout, arrival
+    specs, classes, class_index, fanout, arrival = _prepare_specs(
+        config, spec_rng)
+    return (specs, [spec.servers for spec in specs], classes, class_index,
+            fanout, arrival)
+
+
 def _budget_array(estimator: DeadlineEstimator, classes,
                   class_index: np.ndarray, fanout: np.ndarray,
                   n: int, servers_list=None) -> List[float]:
@@ -171,21 +199,60 @@ def _server_streams(config: ClusterConfig, server_cdfs,
     return server_stream
 
 
-def _fast_loop_static(is_fifo: bool, n: int, m: int, arrival_l, fanout_l,
-                      query_budget, stream0, placement_rng):
-    """The innermost specialization of :func:`_fast_loop`.
+def _specializable(config: ClusterConfig, policy, tracing: bool,
+                   servers_list, query_budget, server_stream) -> bool:
+    """Whether a specialized calendar loop may run ``config``.
 
-    Preconditions (checked by the caller): precomputed budget array, no
-    admission control, no pre-placed servers, one shared service-time
-    stream, no perturbations, no timeline sampling, and a FIFO or
-    TF-EDFQ policy.  Those preconditions let every per-event guard
-    disappear, the completion calendar shrink to ``(finish, sid, qidx)``
-    triples, and TF-EDFQ queue entries shrink to
-    ``(deadline, seq, qidx)`` — the queue key *is* the stamped deadline.
-    Event order, RNG consumption, and all arithmetic are exactly the
-    generic loop's.
+    The one eligibility rule of both calendars (the fault calendar adds
+    only its own clauses on top): untraced, default placement, no
+    pre-placed query, a precomputed budget array, one shared
+    service-time stream, no timeline sampling, no perturbations, and a
+    policy whose queue the loops inline (FIFO, T-EDFQ, TF-EDFQ).
+    Everything else runs a generic loop.
+    """
+    return (not tracing and config.placement is None
+            and type(policy) in (FIFOPolicy, TEDFPolicy, TFEDFPolicy)
+            and bool(query_budget)
+            and (servers_list is None
+                 or all(servers is None for servers in servers_list))
+            and len({id(stream) for stream in server_stream}) == 1
+            and config.timeline_interval_ms is None
+            and not config.perturbations)
+
+
+def _deadline_columns(policy, classes, class_index: np.ndarray,
+                      arrival: np.ndarray, query_budget):
+    """Per-query stamped deadlines and queue keys for the specialized loops.
+
+    Elementwise float64 adds, bit-identical to the scalar
+    ``now + budget`` stamps of the generic loops.  T-EDFQ orders its
+    queues by ``arrival + SLO``; TF-EDFQ by the stamped deadline
+    itself, and FIFO ignores keys.
+    """
+    deadline_l = (arrival + np.asarray(query_budget)).tolist()
+    if type(policy) is not TEDFPolicy:
+        return deadline_l, deadline_l
+    slo = np.asarray([cls.slo_ms for cls in classes])
+    return deadline_l, (arrival + slo[class_index]).tolist()
+
+
+def _static_loop(is_fifo: bool, n: int, m: int, arrival_l, fanout_l,
+                 deadline_l, key_l, stream0, placement_rng, admission):
+    """The no-fault calendar, specialized for :func:`_specializable` configs.
+
+    Those preconditions let every per-event guard but admission
+    disappear: the completion calendar shrinks to ``(finish, sid,
+    qidx)`` triples, a FIFO queue holds bare query indices and an EDF
+    queue ``(key, seq, qidx)`` entries, a task's deadline is read from
+    ``deadline_l``, and the shared service-time sampler's block buffer
+    is indexed inline.  Event order, RNG consumption — placement draws
+    interleaved with block refills — and all arithmetic are exactly the
+    generic loop's (the golden-master corpus pins this bit-for-bit).
     """
     heappush, heappop = heapq.heappush, heapq.heappop
+    infinity = float("inf")
+    admit = admission.admit if admission is not None else None
+    record_task = admission.record_task if admission is not None else None
 
     queues = ([deque() for _ in range(n)] if is_fifo
               else [[] for _ in range(n)])
@@ -202,6 +269,7 @@ def _fast_loop_static(is_fifo: bool, n: int, m: int, arrival_l, fanout_l,
     heap: List[Tuple[float, int, int]] = []
     latency_l = [nan] * m
     remaining = list(fanout_l)
+    rejected_idx: List[int] = []
     seq = 0
     qi = 0
     now = 0.0
@@ -209,8 +277,8 @@ def _fast_loop_static(is_fifo: bool, n: int, m: int, arrival_l, fanout_l,
     tasks_total = 0
     tasks_missed = 0
 
-    while qi < m:
-        next_arrival = arrival_l[qi]
+    while True:
+        next_arrival = arrival_l[qi] if qi < m else infinity
         # Run down every completion at or before the next arrival.
         while heap:
             head = heap[0]
@@ -226,15 +294,14 @@ def _fast_loop_static(is_fifo: bool, n: int, m: int, arrival_l, fanout_l,
                 latency_l[qidx] = now - arrival_l[qidx]
             queue = queues[sid]
             if queue:
-                if is_fifo:
-                    task_qidx, task_deadline = queue.popleft()
-                else:
-                    entry = heappop(queue)
-                    task_deadline = entry[0]
-                    task_qidx = entry[2]
+                task_qidx = queue.popleft() if is_fifo else heappop(queue)[2]
                 tasks_total += 1
-                if now > task_deadline:
+                if now > deadline_l[task_qidx]:
                     tasks_missed += 1
+                    if record_task is not None:
+                        record_task(True, now)
+                elif record_task is not None:
+                    record_task(False, now)
                 if sidx == slen:
                     sbuf = drain()
                     slen = len(sbuf)
@@ -245,234 +312,8 @@ def _fast_loop_static(is_fifo: bool, n: int, m: int, arrival_l, fanout_l,
                 heappush(heap, (now + duration, sid, task_qidx))
             else:
                 busy[sid] = False
-
-        # ----- query arrival -------------------------------------------
-        now = next_arrival
-        qidx = qi
-        qi += 1
-        k = fanout_l[qidx]
-        deadline = now + query_budget[qidx]
-        if k == 1:
-            sid = int(pr_integers(n))
-            if busy[sid]:
-                if is_fifo:
-                    queues[sid].append((qidx, deadline))
-                else:
-                    heappush(queues[sid], (deadline, seq, qidx))
-                    seq += 1
-            else:
-                busy[sid] = True
-                tasks_total += 1
-                if now > deadline:
-                    tasks_missed += 1
-                if sidx == slen:
-                    sbuf = drain()
-                    slen = len(sbuf)
-                    sidx = 0
-                duration = sbuf[sidx]
-                sidx += 1
-                busy_total += duration
-                heappush(heap, (now + duration, sid, qidx))
-            continue
-        if k == n:
-            servers = all_servers
-        else:
-            servers = pr_choice(n, size=k, replace=False).tolist()
-        for sid in servers:
-            if busy[sid]:
-                if is_fifo:
-                    queues[sid].append((qidx, deadline))
-                else:
-                    heappush(queues[sid], (deadline, seq, qidx))
-                    seq += 1
-            else:
-                busy[sid] = True
-                tasks_total += 1
-                if now > deadline:
-                    tasks_missed += 1
-                if sidx == slen:
-                    sbuf = drain()
-                    slen = len(sbuf)
-                    sidx = 0
-                duration = sbuf[sidx]
-                sidx += 1
-                busy_total += duration
-                heappush(heap, (now + duration, sid, qidx))
-
-    # Arrivals exhausted: drain the calendar.
-    while heap:
-        now, sid, qidx = heappop(heap)
-        left = remaining[qidx] - 1
-        remaining[qidx] = left
-        if not left:
-            latency_l[qidx] = now - arrival_l[qidx]
-        queue = queues[sid]
-        if queue:
-            if is_fifo:
-                task_qidx, task_deadline = queue.popleft()
-            else:
-                entry = heappop(queue)
-                task_deadline = entry[0]
-                task_qidx = entry[2]
-            tasks_total += 1
-            if now > task_deadline:
-                tasks_missed += 1
-            if sidx == slen:
-                sbuf = drain()
-                slen = len(sbuf)
-                sidx = 0
-            duration = sbuf[sidx]
-            sidx += 1
-            busy_total += duration
-            heappush(heap, (now + duration, sid, task_qidx))
-        else:
-            busy[sid] = False
-
-    latency = np.asarray(latency_l, dtype=np.float64)
-    rejected = np.zeros(m, dtype=bool)
-    return (latency, rejected, busy_total, tasks_total, tasks_missed, now,
-            [], [], [])
-
-
-def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
-               servers_list, query_budget, estimator, online: bool,
-               admission, server_stream, perturbations, perturbed_servers,
-               placement_rng, sample_interval):
-    """The untraced two-stream merge, specialized for inlined queues.
-
-    Semantically identical to the generic loop in :func:`simulate` (the
-    golden-master corpus pins this bit-for-bit) but with the per-event
-    overhead stripped: plain Python lists instead of numpy scalar
-    indexing, the policy queue inlined as a raw ``deque`` (FIFO) or a
-    raw ``(key, seq, qidx, deadline)`` heap (the EDF family), and the
-    service-time sampler's block buffer indexed directly instead of one
-    ``SampleStream.next()`` call per task.  RNG call order — placement
-    draws interleaved with block refills — is exactly the generic
-    loop's, which is what keeps seeded traces identical.
-    """
-    heappush, heappop = heapq.heappush, heapq.heappop
-    infinity = float("inf")
-    nan = float("nan")
-
-    is_fifo = type(policy) is FIFOPolicy
-    key_is_deadline = type(policy) is TFEDFPolicy
-    arrival_l = arrival.tolist()
-    fanout_l = fanout.tolist()
-    class_index_l = class_index.tolist()
-    slo_by_class = [cls.slo_ms for cls in classes]
-    est_homogeneous = estimator.homogeneous
-    est_deadline = estimator.deadline
-    est_record = estimator.record
-    admit = admission.admit if admission is not None else None
-    record_task = admission.record_task if admission is not None else None
-    use_budget = query_budget is not None
-    has_perturb = bool(perturbed_servers)
-
-    # One block buffer indexed inline when every server shares a stream
-    # (the homogeneous common case); bound ``next`` methods otherwise.
-    single_stream = len({id(stream) for stream in server_stream}) == 1
-    stream0 = server_stream[0]
-    nexts = [stream.next for stream in server_stream]
-    sbuf: List[float] = []
-    sidx = 0
-    slen = 0
-
-    # The hottest shape of all — static homogeneous budgets, no
-    # admission, no sampling, no perturbations, simulator placement —
-    # gets a further-specialized loop with every per-event guard
-    # compiled out.  FIFO and TF-EDFQ only: T-EDFQ's queue key differs
-    # from the stamped deadline, which would widen the queue entries.
-    if (use_budget and admit is None and servers_list is None
-            and single_stream and not has_perturb
-            and sample_interval is None and (is_fifo or key_is_deadline)):
-        return _fast_loop_static(
-            is_fifo, n, m, arrival_l, fanout_l, query_budget, stream0,
-            placement_rng)
-
-    queues = ([deque() for _ in range(n)] if is_fifo
-              else [[] for _ in range(n)])
-    busy = [False] * n
-    all_servers = tuple(range(n))
-    pr_integers = placement_rng.integers
-    pr_choice = placement_rng.choice
-
-    heap: List[Tuple[float, int, int, float]] = []
-    latency_l = [nan] * m
-    remaining = list(fanout_l)
-    rejected_idx: List[int] = []
-    seq = 0
-    qi = 0
-    now = 0.0
-    busy_total = 0.0
-    tasks_total = 0
-    tasks_missed = 0
-
-    sampling = sample_interval is not None
-    next_sample = sample_interval if sampling else infinity
-    sample_times: List[float] = []
-    sample_queued: List[int] = []
-    sample_busy: List[int] = []
-    queued_tasks = 0
-    busy_servers = 0
-
-    while qi < m or heap:
-        next_arrival = arrival_l[qi] if qi < m else infinity
-        if sampling:
-            next_event = heap[0][0] if heap else infinity
-            if next_arrival < next_event:
-                next_event = next_arrival
-            while next_sample <= next_event:
-                sample_times.append(next_sample)
-                sample_queued.append(queued_tasks)
-                sample_busy.append(busy_servers)
-                next_sample += sample_interval
-        if heap and heap[0][0] <= next_arrival:
-            # ----- task completion -------------------------------------
-            now, sid, qidx, duration = heappop(heap)
-            if online:
-                est_record(sid, duration)
-            left = remaining[qidx] - 1
-            remaining[qidx] = left
-            if not left:
-                latency_l[qidx] = now - arrival_l[qidx]
-            queue = queues[sid]
-            if queue:
-                if is_fifo:
-                    task_qidx, task_deadline = queue.popleft()
-                else:
-                    entry = heappop(queue)
-                    task_qidx = entry[2]
-                    task_deadline = entry[3]
-                tasks_total += 1
-                if now > task_deadline:
-                    tasks_missed += 1
-                    if record_task is not None:
-                        record_task(True, now)
-                elif record_task is not None:
-                    record_task(False, now)
-                if sampling:
-                    queued_tasks -= 1
-                if single_stream:
-                    if sidx == slen:
-                        sbuf = stream0.drain_block()
-                        slen = len(sbuf)
-                        sidx = 0
-                    next_duration = sbuf[sidx]
-                    sidx += 1
-                else:
-                    next_duration = nexts[sid]()
-                if has_perturb and sid in perturbed_servers:
-                    for perturbation in perturbations:
-                        if perturbation.applies(sid, now):
-                            next_duration *= perturbation.factor
-                busy_total += next_duration
-                heappush(heap, (now + next_duration, sid, task_qidx,
-                                next_duration))
-            else:
-                busy[sid] = False
-                if sampling:
-                    busy_servers -= 1
-            continue
+        if qi >= m:
+            break  # calendar drained, no arrivals left
 
         # ----- query arrival -------------------------------------------
         now = next_arrival
@@ -481,82 +322,61 @@ def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
         if admit is not None and not admit(now):
             rejected_idx.append(qidx)
             continue
-
         k = fanout_l[qidx]
-        pre = servers_list[qidx] if servers_list is not None else None
-        if pre is not None:
-            servers = pre
-        elif k == n:
+        if k == n:
             servers = all_servers
         elif k == 1:
             servers = (int(pr_integers(n)),)
         else:
-            # .tolist() yields the same ints as the generic loop's
-            # per-element int() casts, without the genexpr frame.
             servers = pr_choice(n, size=k, replace=False).tolist()
-
-        if use_budget and pre is None:
-            deadline = now + query_budget[qidx]
-        elif est_homogeneous:
-            deadline = est_deadline(now, classes[class_index_l[qidx]],
-                                    fanout=k)
-        else:
-            deadline = est_deadline(now, classes[class_index_l[qidx]],
-                                    servers=servers)
-        if not is_fifo:
-            keyval = (deadline if key_is_deadline
-                      else now + slo_by_class[class_index_l[qidx]])
-
+        deadline = deadline_l[qidx]
+        keyval = key_l[qidx]
         for sid in servers:
             if busy[sid]:
                 if is_fifo:
-                    queues[sid].append((qidx, deadline))
+                    queues[sid].append(qidx)
                 else:
-                    heappush(queues[sid], (keyval, seq, qidx, deadline))
+                    heappush(queues[sid], (keyval, seq, qidx))
                     seq += 1
-                if sampling:
-                    queued_tasks += 1
-            else:
-                busy[sid] = True
-                tasks_total += 1
-                if sampling:
-                    busy_servers += 1
-                if now > deadline:
-                    tasks_missed += 1
-                    if record_task is not None:
-                        record_task(True, now)
-                elif record_task is not None:
-                    record_task(False, now)
-                if single_stream:
-                    if sidx == slen:
-                        sbuf = stream0.drain_block()
-                        slen = len(sbuf)
-                        sidx = 0
-                    duration = sbuf[sidx]
-                    sidx += 1
-                else:
-                    duration = nexts[sid]()
-                if has_perturb and sid in perturbed_servers:
-                    for perturbation in perturbations:
-                        if perturbation.applies(sid, now):
-                            duration *= perturbation.factor
-                busy_total += duration
-                heappush(heap, (now + duration, sid, qidx, duration))
+                continue
+            busy[sid] = True
+            tasks_total += 1
+            if now > deadline:
+                tasks_missed += 1
+                if record_task is not None:
+                    record_task(True, now)
+            elif record_task is not None:
+                record_task(False, now)
+            if sidx == slen:
+                sbuf = drain()
+                slen = len(sbuf)
+                sidx = 0
+            duration = sbuf[sidx]
+            sidx += 1
+            busy_total += duration
+            heappush(heap, (now + duration, sid, qidx))
 
     latency = np.asarray(latency_l, dtype=np.float64)
     rejected = np.zeros(m, dtype=bool)
     if rejected_idx:
         rejected[rejected_idx] = True
-    return (latency, rejected, busy_total, tasks_total, tasks_missed, now,
-            sample_times, sample_queued, sample_busy)
+    return latency, rejected, busy_total, tasks_total, tasks_missed, now
 
 
 def _finalize(config: ClusterConfig, policy, n: int, server_cdfs, classes,
               class_index, fanout, arrival, latency, rejected,
               busy_total: float, tasks_total: int, tasks_missed: int,
-              now: float, sample_times, sample_queued, sample_busy,
-              rec, tracing: bool) -> SimulationResult:
-    """Shared wrap-up: warmup mask, timeline, load, result assembly."""
+              now: float, rec, tracing: bool, samples=None, ctrl=None,
+              rc=None, **fault_fields) -> SimulationResult:
+    """Shared wrap-up of every calendar loop: warmup mask, timeline, load,
+    result assembly.
+
+    ``samples`` holds the timeline's ``(times, queued, busy)`` lists when
+    sampling ran; ``ctrl`` and ``rc`` are the run's overload and replica
+    controllers; ``fault_fields`` are the fault loops' ``failed``,
+    ``coverage`` and ``degraded`` arrays and fault counters, passed
+    through to the result.
+    """
     m = len(class_index)
     warmup_count = int(m * config.warmup_fraction)
     measured = np.zeros(m, dtype=bool)
@@ -564,6 +384,7 @@ def _finalize(config: ClusterConfig, policy, n: int, server_cdfs, classes,
 
     timeline = None
     if config.timeline_interval_ms is not None:
+        sample_times, sample_queued, sample_busy = samples
         timeline = Timeline(
             time=np.asarray(sample_times),
             queued_tasks=np.asarray(sample_queued, dtype=np.int64),
@@ -588,6 +409,16 @@ def _finalize(config: ClusterConfig, policy, n: int, server_cdfs, classes,
                       tasks_missed / tasks_total if tasks_total else 0.0)
         rec.set_gauge("duration_ms", now)
 
+    if ctrl is not None:
+        fault_fields.update(
+            degraded_queries=ctrl.degraded_queries,
+            shed_tasks=ctrl.shed_tasks,
+            breaker_trips=ctrl.breaker_trips,
+            cdf_rebootstraps=ctrl.cdf_rebootstraps,
+        )
+    if rc is not None:
+        fault_fields["hedges_suppressed"] = rc.hedges_suppressed
+
     return SimulationResult(
         policy_name=policy.name,
         n_servers=n,
@@ -607,6 +438,9 @@ def _finalize(config: ClusterConfig, policy, n: int, server_cdfs, classes,
         mean_service_ms=mean_service,
         timeline=timeline,
         obs=rec if tracing else None,
+        overload=ctrl,
+        replicas=rc,
+        **fault_fields,
     )
 
 
@@ -645,53 +479,36 @@ def simulate(config: ClusterConfig) -> SimulationResult:
     admission = config.admission
     placement = config.placement
 
-    # The specialized fast loop covers the common benchmarking shape:
-    # untraced, default placement, and a policy whose queue the kernel
-    # can inline (a deque for FIFO, a raw heap for the EDF family).
-    # Everything else — tracing, custom placement, PRIQ/WRR or custom
-    # policies — runs the generic loop below, unchanged.
-    fast = (not tracing and placement is None
-            and type(policy) in (FIFOPolicy, TEDFPolicy, TFEDFPolicy))
-
-    specs = None
-    servers_list: Optional[List] = None
-    if fast and config.specs is None:
-        classes, class_index, fanout, arrival = _prepare_query_arrays(
-            config, spec_rng)
-    else:
-        specs, classes, class_index, fanout, arrival = _prepare_specs(
-            config, spec_rng)
-        servers_list = [spec.servers for spec in specs]
+    specs, servers_list, classes, class_index, fanout, arrival = _prepare(
+        config, spec_rng)
     m = len(class_index)
+
+    online = estimator.online_enabled
+    query_budget: List[float] = []
+    if estimator.homogeneous and not online and placement is None:
+        query_budget = _budget_array(estimator, classes, class_index,
+                                     fanout, n, servers_list)
+    use_budget_array = bool(query_budget)
+
+    if _specializable(config, policy, tracing, servers_list, query_budget,
+                      server_stream):
+        deadline_l, key_l = _deadline_columns(policy, classes, class_index,
+                                              arrival, query_budget)
+        (latency, rejected, busy_total, tasks_total, tasks_missed,
+         now) = _static_loop(
+            type(policy) is FIFOPolicy, n, m, arrival.tolist(),
+            fanout.tolist(), deadline_l, key_l, server_stream[0],
+            placement_rng, admission)
+        return _finalize(config, policy, n, server_cdfs, classes,
+                         class_index, fanout, arrival, latency, rejected,
+                         busy_total, tasks_total, tasks_missed, now,
+                         rec, tracing)
 
     perturbations = tuple(config.perturbations)
     perturbed_servers = (
         frozenset().union(*(p.server_ids for p in perturbations))
         if perturbations else frozenset()
     )
-
-    online = estimator.online_enabled
-    homogeneous_fast = estimator.homogeneous and not online and placement is None
-
-    query_budget: List[float] = []
-    if homogeneous_fast:
-        query_budget = _budget_array(estimator, classes, class_index,
-                                     fanout, n, servers_list)
-    use_budget_array = bool(query_budget)
-
-    if fast:
-        (latency, rejected, busy_total, tasks_total, tasks_missed, now,
-         sample_times, sample_queued, sample_busy) = _fast_loop(
-            policy, n, m, classes, class_index, fanout, arrival,
-            servers_list, query_budget if use_budget_array else None,
-            estimator, online, admission, server_stream,
-            perturbations, perturbed_servers, placement_rng,
-            config.timeline_interval_ms)
-        return _finalize(config, policy, n, server_cdfs, classes,
-                         class_index, fanout, arrival, latency, rejected,
-                         busy_total, tasks_total, tasks_missed, now,
-                         sample_times, sample_queued, sample_busy,
-                         rec, tracing)
 
     remaining = fanout.astype(np.int64).copy()
     latency = np.full(m, np.nan)
@@ -856,13 +673,14 @@ def simulate(config: ClusterConfig) -> SimulationResult:
                          extra={"miss_ratio": admission.miss_ratio()})
             continue
 
-        spec = specs[qidx]
         k = int(fanout[qidx])
         cls = classes[class_index[qidx]]
+        pre = servers_list[qidx] if servers_list is not None else None
 
-        if spec.servers is not None:
-            servers = spec.servers
+        if pre is not None:
+            servers = pre
         elif placement is not None:
+            spec = specs[qidx]
             if placement_wants_depths:
                 depths = tuple(
                     len(queues[sid]) + (1 if busy[sid] else 0)
@@ -891,7 +709,7 @@ def simulate(config: ClusterConfig) -> SimulationResult:
                 int(s) for s in placement_rng.choice(n, size=k, replace=False)
             )
 
-        if use_budget_array and spec.servers is None:
+        if use_budget_array and pre is None:
             deadline = now + query_budget[qidx]
         elif estimator.homogeneous:
             deadline = estimator.deadline(now, cls, fanout=k)
@@ -946,5 +764,5 @@ def simulate(config: ClusterConfig) -> SimulationResult:
 
     return _finalize(config, policy, n, server_cdfs, classes, class_index,
                      fanout, arrival, latency, rejected, busy_total,
-                     tasks_total, tasks_missed, now, sample_times,
-                     sample_queued, sample_busy, rec, tracing)
+                     tasks_total, tasks_missed, now, rec, tracing,
+                     samples=(sample_times, sample_queued, sample_busy))

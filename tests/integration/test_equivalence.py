@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig, simulate
+from repro.core.admission import DeadlineMissRatioAdmission
 from repro.core.deadline import DeadlineEstimator
 from repro.core.handler import QueryHandler
 from repro.core.policies import get_policy
@@ -108,3 +109,30 @@ def test_policies_actually_differ_on_this_trace():
         for policy in ("fifo", "tailguard")
     }
     assert outcomes["fifo"] != outcomes["tailguard"]
+
+
+@pytest.mark.parametrize("stream", ["generated", "unplaced-specs"])
+@pytest.mark.parametrize("admission", [False, True])
+@pytest.mark.parametrize("policy_name", ["fifo", "t-edf", "tailguard"])
+def test_static_loop_matches_generic_loop(policy_name, admission, stream,
+                                          contended_config, kernel_loops,
+                                          assert_same_run):
+    """The static loop replays the generic no-fault loop bit for bit,
+    admission hook and caller-supplied unplaced streams included.
+    Timeline sampling forces the generic loop without perturbing any
+    event."""
+    def config(**changes):
+        if admission:
+            changes["admission"] = DeadlineMissRatioAdmission(
+                threshold=0.2, window_tasks=200, min_samples=50)
+        return contended_config(policy_name,
+                                unplaced_specs=stream == "unplaced-specs",
+                                **changes)
+
+    static = simulate(config())
+    assert kernel_loops == ["_static_loop"]
+    generic = simulate(config(timeline_interval_ms=1e6))
+    assert kernel_loops == ["_static_loop"], "sampling must force generic"
+    assert_same_run(static, generic)
+    assert static.tasks_missed_deadline > 0
+    assert static.rejected.any() == admission

@@ -208,3 +208,36 @@ def test_mitigations_cut_the_crash_tail():
     assert p99["retry+hedge"] < 0.25 * p99["none"]
     hedged = {row["mitigation"]: row["tasks_hedged"] for row in report.rows}
     assert hedged["hedge"] > 0 and hedged["none"] == 0
+
+
+#: Mitigation-free plans: crashes and downtimes *pause* the in-service
+#: task, so the mitigated loop runs with no retry and no hedge.
+PAUSE_SHAPES = {
+    "crash-only": FaultPlan(
+        crashes=CrashProcess(mtbf_ms=40.0, mttr_ms=3.0, seed=11),
+    ),
+    "downtime-straggler": FaultPlan(
+        downtimes=(Downtime(2, 8.113, 13.391), Downtime(5, 22.207, 28.119)),
+        stragglers=(StragglerEpisode((7,), 18.183, 40.621, 2.5),),
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PAUSE_SHAPES))
+@pytest.mark.parametrize("policy_name", ["fifo", "t-edf", "tailguard"])
+def test_mitigated_loop_pauses_like_generic_loop(policy_name, shape,
+                                                 contended_config,
+                                                 kernel_loops,
+                                                 assert_same_run):
+    """Without retry or hedge the mitigated loop replays the generic
+    fault loop's pause semantics bit for bit.  Timeline sampling forces
+    the generic loop without perturbing any event."""
+    config = contended_config(policy_name, faults=PAUSE_SHAPES[shape])
+    fast = simulate(config)
+    assert kernel_loops == ["_fault_loop_mitigated"]
+    generic = simulate(config.evolve(timeline_interval_ms=1e6))
+    assert kernel_loops == ["_fault_loop_mitigated"], (
+        "sampling must force generic")
+    assert_same_run(fast, generic)
+    assert fast.server_failures > 0
+    assert fast.tasks_retried == fast.tasks_cancelled == 0

@@ -123,3 +123,21 @@ def test_multi_shard_merge_restores_global_arrival_order():
             assert counts[s] == 0
         else:
             assert result.latency.size == counts[s]
+
+
+@pytest.mark.parametrize("faulted", [False, True])
+def test_shards_take_the_specialized_loops(faulted, kernel_loops):
+    # Shards reach the cluster through ``specs=`` with no query
+    # pre-placed, which the specialized loops accept: every shard must
+    # run the static loop, or the mitigated loop under a fault plan.
+    shard = _shard("tailguard", faults=_fault_plan() if faulted else None)
+    fed = FederationConfig(
+        tuple(shard.with_seed(s) for s in range(3)),
+        workload=shard.workload, n_queries=3_000, seed=11,
+    )
+    outcome = simulate_federation(fed)
+    ran = [result for result in outcome.shards if result is not None]
+    loop = "_fault_loop_mitigated" if faulted else "_static_loop"
+    assert kernel_loops == [loop] * len(ran)
+    if faulted:
+        assert sum(result.server_failures for result in ran) > 0

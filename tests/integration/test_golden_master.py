@@ -346,8 +346,8 @@ CALENDAR_SCENARIOS["replica_straggler_tailguard"] = lambda: ClusterConfig(
 ).with_faults(_REPLICA_STRAGGLER_PLAN).with_replicas(_REPLICA_POLICY)
 
 # Pause-mode plans (no retry, no hedge): crashes pause servers instead
-# of killing work, so the calendar runs without slots/timers at all —
-# the specialized no-mitigation fast loop is pinned by these.
+# of killing work, so no copy is ever duplicated, timed or cancelled —
+# the mitigated loop's retry- and hedge-free shape is pinned by these.
 _PAUSE_PLAN = FaultPlan(
     downtimes=(Downtime(2, 8.113, 13.391),),
     crashes=CrashProcess(mtbf_ms=90.0, mttr_ms=5.0, server_ids=(0, 3),

@@ -290,3 +290,24 @@ def test_specialized_timer_lanes_match_generic_loop(policy_name):
         generic.replicas)
     assert fast.replicas.hedges_launched > 0
     assert len(fast.replicas.delay_trace) > 1
+
+
+@pytest.mark.parametrize("policy_name", ["fifo", "t-edf", "tailguard"])
+def test_replica_only_run_takes_mitigated_loop(policy_name, kernel_loops,
+                                               assert_same_run):
+    """A replica policy with no fault plan (scored placement, no retry or
+    hedge) runs the mitigated loop and matches the generic loop."""
+    config = workload_config(
+        policy=policy_name, faults=None,
+        replicas=ReplicaPolicy(scorer=ReplicaScorer(
+            tail_weight=0.5, tail_alpha=0.2, scored_fanout=True)))
+    fast = simulate(config)
+    assert kernel_loops == ["_fault_loop_mitigated"]
+    generic = simulate(config.evolve(timeline_interval_ms=1e6))
+    assert kernel_loops == ["_fault_loop_mitigated"]
+    assert_same_run(fast, generic)
+    assert controller_fingerprint(fast.replicas) == controller_fingerprint(
+        generic.replicas)
+    # Scored placement moved work: the run differs from a plain one.
+    plain = simulate(config.evolve(replicas=None))
+    assert not np.array_equal(fast.latency, plain.latency)
